@@ -55,6 +55,9 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "obda_wal_appends_total",
     "obda_connections_admitted_total",
     "obda_cost_predicted_units_total",
+    "obda_reform_memo_lookups_total",
+    "obda_reform_memo_evictions_total",
+    "obda_reform_memo_entries",
     "obda_generation",
 ];
 

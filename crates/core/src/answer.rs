@@ -5,14 +5,14 @@ use std::time::Duration;
 
 use obda_dllite::constraints::ConstraintSet;
 use obda_dllite::{Dependencies, TBox};
-use obda_query::{minimize_ucq, FolQuery, CQ};
-use obda_reform::{perfect_ref_pruned, prune_fol, PruneStats};
+use obda_query::{FolQuery, CQ, UCQ};
+use obda_reform::{prune_fol, PruneStats};
 
 use crate::cost::CostEstimator;
 use crate::cover::Cover;
-use crate::edl::edl;
-use crate::gdl::{gdl, GdlConfig, SearchOutcome};
-use crate::reform_cache::ReformCache;
+use crate::edl::{edl, edl_in};
+use crate::gdl::{gdl, gdl_in, GdlConfig, SearchOutcome};
+use crate::reform_cache::{reformulate, MemoStats, ReformCache, TBoxContext};
 use crate::safety::{root_cover, QueryAnalysis};
 
 /// Which reformulation to produce — the four bars of Figure 2 plus EDL
@@ -48,6 +48,9 @@ pub struct Chosen {
     /// Constraint-pruning statistics, when a [`ConstraintSet`] was
     /// supplied (see [`choose_reformulation_constrained`]).
     pub pruned: Option<PruneStats>,
+    /// Lookups in the TBox-lifetime reformulation memo (zero unless
+    /// chosen by [`choose_reformulation_in`]).
+    pub memo: MemoStats,
 }
 
 /// Compact search statistics (mirrors [`SearchOutcome`]).
@@ -103,7 +106,36 @@ pub fn choose_reformulation_constrained(
     strategy: &Strategy,
     constraints: Option<&ConstraintSet>,
 ) -> Chosen {
-    let mut chosen = choose_unpruned(q, tbox, deps, estimator, strategy);
+    let chosen = choose_unpruned(q, tbox, deps, None, estimator, strategy);
+    prune_chosen(chosen, constraints)
+}
+
+/// [`choose_reformulation_constrained`] against a [`TBoxContext`]: every
+/// reformulation (whole query or cover fragment) is taken from, or added
+/// to, the context's TBox-lifetime memo. The result equals a cold
+/// [`choose_reformulation_constrained`] over `context.tbox()`; only the
+/// cost of reformulating differs (so a GDL time budget may now reach
+/// further, as with any speed-up). Cover search, cost estimates and
+/// pruning still run per call, since they read the data.
+pub fn choose_reformulation_in(
+    q: &CQ,
+    context: &TBoxContext,
+    estimator: &dyn CostEstimator,
+    strategy: &Strategy,
+    constraints: Option<&ConstraintSet>,
+) -> Chosen {
+    let chosen = choose_unpruned(
+        q,
+        context.tbox(),
+        context.deps(),
+        Some(context),
+        estimator,
+        strategy,
+    );
+    prune_chosen(chosen, constraints)
+}
+
+fn prune_chosen(mut chosen: Chosen, constraints: Option<&ConstraintSet>) -> Chosen {
     if let Some(cons) = constraints {
         let (fol, stats) = prune_fol(&chosen.fol, cons);
         chosen.fol = fol;
@@ -112,48 +144,69 @@ pub fn choose_reformulation_constrained(
     chosen
 }
 
+/// The whole-query UCQ reformulation, through the memo when there is one.
+fn whole_ucq(
+    q: &CQ,
+    tbox: &TBox,
+    context: Option<&TBoxContext>,
+    minimize: bool,
+    memo: &mut MemoStats,
+) -> UCQ {
+    match context {
+        Some(context) => (*context.reformulate(q, minimize, memo)).clone(),
+        None => reformulate(q, tbox, minimize),
+    }
+}
+
 fn choose_unpruned(
     q: &CQ,
     tbox: &TBox,
     deps: &Dependencies,
+    context: Option<&TBoxContext>,
     estimator: &dyn CostEstimator,
     strategy: &Strategy,
 ) -> Chosen {
+    let plain = |fol: FolQuery, memo: MemoStats| Chosen {
+        fol,
+        cover: None,
+        est_cost: None,
+        search: None,
+        pruned: None,
+        memo,
+    };
+    let searched = |out: SearchOutcome| Chosen {
+        fol: FolQuery::Jucq(out.jucq.clone()),
+        cover: Some(out.cover.clone()),
+        est_cost: Some(out.cost),
+        search: Some(SearchStats::from(&out)),
+        pruned: None,
+        memo: out.memo,
+    };
+    let mut memo = MemoStats::default();
     match strategy {
-        Strategy::Ucq => Chosen {
-            fol: FolQuery::Ucq(minimize_ucq(&perfect_ref_pruned(q, tbox))),
-            cover: None,
-            est_cost: None,
-            search: None,
-            pruned: None,
-        },
-        Strategy::RawUcq => Chosen {
-            fol: FolQuery::Ucq(perfect_ref_pruned(q, tbox)),
-            cover: None,
-            est_cost: None,
-            search: None,
-            pruned: None,
-        },
-        Strategy::Uscq => Chosen {
-            fol: FolQuery::Uscq(obda_reform::factorize_ucq(&minimize_ucq(
-                &perfect_ref_pruned(q, tbox),
-            ))),
-            cover: None,
-            est_cost: None,
-            search: None,
-            pruned: None,
-        },
+        Strategy::Ucq => {
+            let ucq = whole_ucq(q, tbox, context, true, &mut memo);
+            plain(FolQuery::Ucq(ucq), memo)
+        }
+        Strategy::RawUcq => {
+            let ucq = whole_ucq(q, tbox, context, false, &mut memo);
+            plain(FolQuery::Ucq(ucq), memo)
+        }
+        Strategy::Uscq => {
+            let ucq = whole_ucq(q, tbox, context, true, &mut memo);
+            plain(FolQuery::Uscq(obda_reform::factorize_ucq(&ucq)), memo)
+        }
         Strategy::CrootJucq => {
             let analysis = QueryAnalysis::new(q, deps);
             let croot = root_cover(&analysis);
-            let mut cache = ReformCache::new(q, tbox, true);
+            let mut cache = match context {
+                Some(context) => ReformCache::in_context(q, context, true),
+                None => ReformCache::new(q, tbox, true),
+            };
             let jucq = cache.jucq_for(&croot);
             Chosen {
-                fol: FolQuery::Jucq(jucq),
                 cover: Some(croot),
-                est_cost: None,
-                search: None,
-                pruned: None,
+                ..plain(FolQuery::Jucq(jucq), cache.memo_stats())
             }
         }
         Strategy::Gdl { time_budget } => {
@@ -162,25 +215,17 @@ fn choose_unpruned(
                 time_budget: *time_budget,
                 ..Default::default()
             };
-            let out = gdl(q, tbox, &analysis, estimator, &config);
-            Chosen {
-                fol: FolQuery::Jucq(out.jucq.clone()),
-                cover: Some(out.cover.clone()),
-                est_cost: Some(out.cost),
-                search: Some(SearchStats::from(&out)),
-                pruned: None,
-            }
+            searched(match context {
+                Some(context) => gdl_in(q, context, &analysis, estimator, &config),
+                None => gdl(q, tbox, &analysis, estimator, &config),
+            })
         }
         Strategy::Edl { cap } => {
             let analysis = QueryAnalysis::new(q, deps);
-            let out = edl(q, tbox, &analysis, estimator, *cap, true);
-            Chosen {
-                fol: FolQuery::Jucq(out.jucq.clone()),
-                cover: Some(out.cover.clone()),
-                est_cost: Some(out.cost),
-                search: Some(SearchStats::from(&out)),
-                pruned: None,
-            }
+            searched(match context {
+                Some(context) => edl_in(q, context, &analysis, estimator, *cap, true),
+                None => edl(q, tbox, &analysis, estimator, *cap, true),
+            })
         }
     }
 }

@@ -15,7 +15,7 @@ use crate::cost::{CostEstimator, InstrumentedEstimator};
 use crate::cover::Cover;
 use crate::gdl::SearchOutcome;
 use crate::genspace::enumerate_generalized_covers;
-use crate::reform_cache::ReformCache;
+use crate::reform_cache::{ReformCache, TBoxContext};
 use crate::safety::QueryAnalysis;
 
 /// Exhaustive search over `Lq ∪ Gq` (capped at `cap` generalized covers;
@@ -28,9 +28,32 @@ pub fn edl(
     cap: usize,
     minimize_fragments: bool,
 ) -> SearchOutcome {
+    let cache = ReformCache::new(q, tbox, minimize_fragments);
+    search(cache, analysis, estimator, cap)
+}
+
+/// [`edl`] with fragment reformulations taken from, and added to,
+/// `context`'s TBox-lifetime memo.
+pub fn edl_in(
+    q: &CQ,
+    context: &TBoxContext,
+    analysis: &QueryAnalysis,
+    estimator: &dyn CostEstimator,
+    cap: usize,
+    minimize_fragments: bool,
+) -> SearchOutcome {
+    let cache = ReformCache::in_context(q, context, minimize_fragments);
+    search(cache, analysis, estimator, cap)
+}
+
+fn search(
+    mut cache: ReformCache,
+    analysis: &QueryAnalysis,
+    estimator: &dyn CostEstimator,
+    cap: usize,
+) -> SearchOutcome {
     let start = Instant::now();
     let instrumented = InstrumentedEstimator::new(estimator);
-    let mut cache = ReformCache::new(q, tbox, minimize_fragments);
     let mut memo: HashMap<Cover, f64> = HashMap::new();
 
     let space = enumerate_generalized_covers(analysis, cap);
@@ -69,6 +92,7 @@ pub fn edl(
         cost_estimation_time: instrumented.elapsed(),
         cost_estimation_calls: instrumented.calls(),
         budget_exhausted: space.truncated,
+        memo: cache.memo_stats(),
     }
 }
 

@@ -23,7 +23,7 @@ use obda_query::{FolQuery, CQ, JUCQ};
 
 use crate::cost::{CostEstimator, InstrumentedEstimator};
 use crate::cover::{Cover, Fragment};
-use crate::reform_cache::ReformCache;
+use crate::reform_cache::{MemoStats, ReformCache, TBoxContext};
 use crate::safety::{root_cover, QueryAnalysis};
 
 /// Tuning knobs for the greedy search.
@@ -75,6 +75,9 @@ pub struct SearchOutcome {
     pub cost_estimation_calls: usize,
     /// True if the time budget expired before convergence.
     pub budget_exhausted: bool,
+    /// Lookups in the TBox-lifetime reformulation memo (zero when the
+    /// search ran without a [`TBoxContext`]).
+    pub memo: MemoStats,
 }
 
 /// Run GDL on `q` w.r.t. `tbox`.
@@ -85,10 +88,33 @@ pub fn gdl(
     estimator: &dyn CostEstimator,
     config: &GdlConfig,
 ) -> SearchOutcome {
+    let cache = ReformCache::new(q, tbox, config.minimize_fragments);
+    search(cache, analysis, estimator, config)
+}
+
+/// [`gdl`] with fragment reformulations taken from, and added to,
+/// `context`'s TBox-lifetime memo. Same outcome as [`gdl`] over
+/// `context.tbox()`.
+pub fn gdl_in(
+    q: &CQ,
+    context: &TBoxContext,
+    analysis: &QueryAnalysis,
+    estimator: &dyn CostEstimator,
+    config: &GdlConfig,
+) -> SearchOutcome {
+    let cache = ReformCache::in_context(q, context, config.minimize_fragments);
+    search(cache, analysis, estimator, config)
+}
+
+fn search(
+    mut cache: ReformCache,
+    analysis: &QueryAnalysis,
+    estimator: &dyn CostEstimator,
+    config: &GdlConfig,
+) -> SearchOutcome {
     let start = Instant::now();
     let deadline = config.time_budget.map(|b| start + b);
     let instrumented = InstrumentedEstimator::new(estimator);
-    let mut cache = ReformCache::new(q, tbox, config.minimize_fragments);
     let mut cost_memo: HashMap<Cover, f64> = HashMap::new();
     let mut explored_simple = 0usize;
     let mut explored_generalized = 0usize;
@@ -173,6 +199,7 @@ pub fn gdl(
         cost_estimation_time: instrumented.elapsed(),
         cost_estimation_calls: instrumented.calls(),
         budget_exhausted,
+        memo: cache.memo_stats(),
     }
 }
 

@@ -13,7 +13,9 @@
 //!   §5.3 (Algorithm 1), including the §6.4 time-limited variant;
 //! * [`CostEstimator`] — the cost abstraction `ε` (engine-backed
 //!   implementations live in `obda-rdbms`);
-//! * [`choose_reformulation`] — the strategy surface benchmarked in §6.
+//! * [`choose_reformulation`] — the strategy surface benchmarked in §6;
+//!   [`choose_reformulation_in`] runs it against a [`TBoxContext`], whose
+//!   memo keeps reformulations for as long as the TBox stays the same.
 
 pub mod answer;
 pub mod bell;
@@ -27,15 +29,16 @@ pub mod reform_cache;
 pub mod safety;
 
 pub use answer::{
-    choose_reformulation, choose_reformulation_constrained, Chosen, SearchStats, Strategy,
+    choose_reformulation, choose_reformulation_constrained, choose_reformulation_in, Chosen,
+    SearchStats, Strategy,
 };
 pub use bell::{bell_number, blocks_of, Partitions};
 pub use cost::{CostEstimator, InstrumentedEstimator, StructuralEstimator};
 pub use cover::{full_mask, mask_indices, mask_len, AtomMask, Cover, Fragment};
-pub use edl::edl;
-pub use gdl::{gdl, moves_from, GdlConfig, SearchOutcome};
+pub use edl::{edl, edl_in};
+pub use gdl::{gdl, gdl_in, moves_from, GdlConfig, SearchOutcome};
 pub use genspace::{connected_supersets, enumerate_generalized_covers, genspace_size, GenSpace};
 pub use lattice::{enumerate_safe_covers, lattice_size, precedes};
 pub use obda_reform::{arm_provably_empty, prune_fol, prune_ucq, PruneStats, PrunedUcq};
-pub use reform_cache::ReformCache;
+pub use reform_cache::{MemoStats, ReformCache, TBoxContext};
 pub use safety::{is_safe, root_cover, QueryAnalysis};

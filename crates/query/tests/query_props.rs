@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use obda_query::homomorphism::search_homomorphism;
 use obda_query::testkit::{random_connected_cq, random_tbox, KbShape, Rng};
 use obda_query::{
     canonical_key, canonicalize, contained_in, cq_core, equivalent, homomorphism, mgu,
@@ -82,6 +83,29 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The predicate precheck in `homomorphism` never changes a result:
+    /// over random CQ pairs on one vocabulary (plus a pair where a
+    /// homomorphism exists by construction, tested both ways), it returns
+    /// exactly what the unguarded search returns.
+    #[test]
+    fn predicate_precheck_preserves_search(
+        seed in 0u64..10_000,
+        from_atoms in 1usize..5,
+        to_atoms in 1usize..6,
+    ) {
+        let mut rng = Rng::new(seed);
+        let (voc, _) = random_tbox(&mut rng, &KbShape::default());
+        let from = random_connected_cq(&mut rng, &voc, from_atoms, 2);
+        let to = random_connected_cq(&mut rng, &voc, to_atoms, 2);
+        let mut atoms = from.atoms().to_vec();
+        atoms.extend_from_slice(to.shift_vars(100).atoms());
+        let extended = CQ::new(from.head().to_vec(), atoms);
+        for (x, y) in [(&from, &to), (&to, &from), (&from, &extended), (&extended, &from)] {
+            prop_assert_eq!(homomorphism(x, y), search_homomorphism(x, y));
+        }
+        prop_assert!(homomorphism(&from, &extended).is_some());
     }
 
     /// Substitution application is idempotent for fully-resolved

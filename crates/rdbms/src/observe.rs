@@ -37,6 +37,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use obda_core::MemoStats;
+
 use crate::server::Server;
 use crate::sqlexec::Backend;
 
@@ -259,6 +261,11 @@ pub struct MetricsRegistry {
     /// (provably empty vs data-subsumed).
     pruned_arms_empty: AtomicU64,
     pruned_arms_subsumed: AtomicU64,
+    /// Lookups in the TBox-lifetime reformulation memo, by outcome, and
+    /// the entries dropped when it overflowed.
+    reform_memo_hits: AtomicU64,
+    reform_memo_misses: AtomicU64,
+    reform_memo_evictions: AtomicU64,
     /// Admission bar for the ring: total µs of the ring's fastest entry
     /// once full (`0` while the ring has room).
     slow_threshold_micros: AtomicU64,
@@ -307,6 +314,9 @@ impl MetricsRegistry {
             panics_recovered: AtomicU64::new(0),
             pruned_arms_empty: AtomicU64::new(0),
             pruned_arms_subsumed: AtomicU64::new(0),
+            reform_memo_hits: AtomicU64::new(0),
+            reform_memo_misses: AtomicU64::new(0),
+            reform_memo_evictions: AtomicU64::new(0),
             slow_threshold_micros: AtomicU64::new(0),
             slow: Mutex::new(Vec::new()),
             slow_log_micros: AtomicU64::new(u64::MAX),
@@ -366,6 +376,19 @@ impl MetricsRegistry {
             .fetch_add(empty as u64, Ordering::Relaxed);
         self.pruned_arms_subsumed
             .fetch_add(subsumed as u64, Ordering::Relaxed);
+    }
+
+    /// Record one cold compilation's use of the reformulation memo.
+    pub fn record_reform_memo(&self, memo: &MemoStats) {
+        if !self.is_enabled() {
+            return;
+        }
+        self.reform_memo_hits
+            .fetch_add(memo.hits, Ordering::Relaxed);
+        self.reform_memo_misses
+            .fetch_add(memo.misses, Ordering::Relaxed);
+        self.reform_memo_evictions
+            .fetch_add(memo.evictions, Ordering::Relaxed);
     }
 
     /// Accumulate one cost-model accuracy sample: the plan's predicted
@@ -556,6 +579,16 @@ impl MetricsRegistry {
             self.pruned_arms_subsumed.load(Ordering::Relaxed),
         )
     }
+
+    /// Reformulation-memo lookups and evictions since start (across
+    /// every TBox the server has had).
+    pub fn reform_memo_total(&self) -> MemoStats {
+        MemoStats {
+            hits: self.reform_memo_hits.load(Ordering::Relaxed),
+            misses: self.reform_memo_misses.load(Ordering::Relaxed),
+            evictions: self.reform_memo_evictions.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// One structured stderr line per over-threshold statement; key=value so
@@ -706,6 +739,40 @@ pub fn render_prometheus(server: &Server) -> String {
     let _ = writeln!(
         out,
         "obda_pruned_arms_total{{reason=\"subsumed\"}} {pruned_subsumed}"
+    );
+
+    // Reformulation memo (lives as long as the TBox).
+    let memo = reg.reform_memo_total();
+    let _ = writeln!(
+        out,
+        "# HELP obda_reform_memo_lookups_total Reformulation-memo lookups by cold compilations."
+    );
+    let _ = writeln!(out, "# TYPE obda_reform_memo_lookups_total counter");
+    let _ = writeln!(
+        out,
+        "obda_reform_memo_lookups_total{{result=\"hit\"}} {}",
+        memo.hits
+    );
+    let _ = writeln!(
+        out,
+        "obda_reform_memo_lookups_total{{result=\"miss\"}} {}",
+        memo.misses
+    );
+    counter(
+        &mut out,
+        "obda_reform_memo_evictions_total",
+        "Reformulation-memo entries dropped when the memo overflowed.",
+        memo.evictions,
+    );
+    let _ = writeln!(
+        out,
+        "# HELP obda_reform_memo_entries Reformulations held for the current TBox."
+    );
+    let _ = writeln!(out, "# TYPE obda_reform_memo_entries gauge");
+    let _ = writeln!(
+        out,
+        "obda_reform_memo_entries {}",
+        server.snapshot().reform_memo_entries()
     );
 
     // Transactions.

@@ -908,6 +908,14 @@ impl Session<'_> {
         push("plan_cache_misses", cache.misses.to_string());
         push("plan_cache_entries", cache.entries.to_string());
         push("plan_cache_invalidated", cache.invalidated.to_string());
+        let memo = observe.reform_memo_total();
+        push("reform_memo_hits", memo.hits.to_string());
+        push("reform_memo_misses", memo.misses.to_string());
+        push("reform_memo_evictions", memo.evictions.to_string());
+        push(
+            "reform_memo_entries",
+            snap.reform_memo_entries().to_string(),
+        );
         push("txn_commits", txn.committed.to_string());
         push("txn_conflicts", txn.conflicts.to_string());
         push("txn_commit_groups", txn.commit_groups.to_string());

@@ -10,12 +10,15 @@
 //! cost can be amortized away. [`Server`] does three things about it:
 //!
 //! * **Shared snapshots** — an [`EngineSnapshot`] bundles the immutable
-//!   [`Engine`] (storage + `CatalogStats` + profile), the TBox, and the
-//!   predicate dependencies behind one `Arc`, tagged with a
-//!   **generation** counter. Queries clone the `Arc` (no lock held while
-//!   running), so any number of OS threads evaluate concurrently against
-//!   one loaded KB, and a reload swaps the `Arc` without disturbing
-//!   in-flight queries (snapshot isolation).
+//!   [`Engine`] (storage + `CatalogStats` + profile) and the
+//!   [`TBoxContext`] (TBox, predicate dependencies, reformulation memo)
+//!   behind one `Arc`, tagged with a **generation** counter. The context
+//!   is shared by every generation with the same TBox, so commits keep
+//!   fragment reformulations while dropping everything that reads data.
+//!   Queries clone the `Arc` (no lock held while running), so any number
+//!   of OS threads evaluate concurrently against one loaded KB, and a
+//!   reload swaps the `Arc` without disturbing in-flight queries
+//!   (snapshot isolation).
 //! * **Canonical plan cache** — reformulation + planning results are
 //!   cached under `(generation, canonical_key(q))`. The canonical key is
 //!   invariant under head-variable renaming and body-atom reordering
@@ -60,10 +63,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, TryLockError};
 use std::time::Instant;
 
-use obda_core::{choose_reformulation_constrained, PruneStats, Strategy};
+use obda_core::{choose_reformulation_in, PruneStats, Strategy, TBoxContext};
 use obda_dllite::{
     ABox, AboxDelta, ConceptId, ConstraintSet, Dependencies, IndividualId, RoleId, TBox,
-    TBoxClosure, Vocabulary, WorkingSet,
+    Vocabulary, WorkingSet,
 };
 use obda_query::{canonical_key, CanonKey, FolQuery, CQ};
 
@@ -216,12 +219,17 @@ impl Default for ServerConfig {
 }
 
 /// One immutable generation of the loaded KB: engine (storage + stats +
-/// profile), TBox, and predicate dependencies. `Send + Sync`; shared
-/// behind `Arc` so readers never block writers and vice versa.
+/// profile) and the TBox context. `Send + Sync`; shared behind `Arc` so
+/// readers never block writers and vice versa.
 pub struct EngineSnapshot {
     pub(crate) engine: Engine,
-    pub(crate) tbox: TBox,
-    pub(crate) deps: Dependencies,
+    /// The TBox, its predicate dependencies and its reformulation memo.
+    /// Unlike everything else here it outlives the generation: commits,
+    /// ABox reloads and transaction overlays share the `Arc`, so a
+    /// fragment reformulated once is reused until [`Server::reload_kb`]
+    /// installs a new TBox with a fresh context (invalidation is
+    /// structural, like the `constraints` cell's).
+    pub(crate) context: Arc<TBoxContext>,
     /// The vocabulary frozen at publish time. Interning only appends, so
     /// every id reachable from this generation's data resolves here —
     /// the wire front end uses it to parse predicate/individual names in
@@ -246,7 +254,7 @@ impl EngineSnapshot {
     }
 
     pub fn tbox(&self) -> &TBox {
-        &self.tbox
+        self.context.tbox()
     }
 
     /// The vocabulary this generation's ids resolve against.
@@ -258,15 +266,21 @@ impl EngineSnapshot {
         self.generation
     }
 
+    /// Reformulations the TBox context's memo holds (shared by every
+    /// generation with this TBox).
+    pub fn reform_memo_entries(&self) -> usize {
+        self.context.memo_entries()
+    }
+
     /// The completeness constraints of this generation's data, mined on
     /// first use and shared by every subsequent compilation against the
-    /// generation (cheap `Arc` clone).
+    /// generation (cheap `Arc` clone). Only the extents are read per
+    /// generation; the TBox closure comes from the shared context.
     pub fn constraints(&self) -> Arc<ConstraintSet> {
         self.constraints
             .get_or_init(|| {
-                let closure = TBoxClosure::compute(&self.tbox);
                 let extents = self.engine.extract_extents(&self.voc);
-                Arc::new(ConstraintSet::mine(&closure, &extents))
+                Arc::new(ConstraintSet::mine(self.context.closure(), &extents))
             })
             .clone()
     }
@@ -555,7 +569,8 @@ impl Server {
         generation: u64,
     ) -> Self {
         let deps = Dependencies::compute(&voc, &tbox);
-        let snapshot = Self::build_snapshot(&voc, &config, tbox, deps, &abox, generation);
+        let context = Arc::new(TBoxContext::new(tbox, deps));
+        let snapshot = Self::build_snapshot(&voc, &config, context, &abox, generation);
         Server {
             config,
             snapshot: RwLock::new(Arc::new(snapshot)),
@@ -588,8 +603,7 @@ impl Server {
     fn build_snapshot(
         voc: &Vocabulary,
         config: &ServerConfig,
-        tbox: TBox,
-        deps: Dependencies,
+        context: Arc<TBoxContext>,
         abox: &ABox,
         generation: u64,
     ) -> EngineSnapshot {
@@ -599,8 +613,7 @@ impl Server {
             .with_backend(config.backend);
         EngineSnapshot {
             engine,
-            tbox,
-            deps,
+            context,
             voc: Arc::new(voc.clone()),
             generation,
             constraints: OnceLock::new(),
@@ -741,6 +754,13 @@ impl Server {
         })
     }
 
+    /// The compilation [`Server::query_on_as`] runs for `cq` against
+    /// `snap`: the chosen reformulation, its plans and its SQL size,
+    /// from the plan cache or compiled now (and then cached).
+    pub fn compiled(&self, snap: &EngineSnapshot, cq: &CQ, backend: Backend) -> Arc<CompiledQuery> {
+        self.compile(snap, cq, backend).0
+    }
+
     /// Shared post-execution bookkeeping of every served query: assemble
     /// the call's [`StageSpans`] (compile stages zero on a cache hit —
     /// the work was skipped), feed the registry's per-backend counters
@@ -819,14 +839,14 @@ impl Server {
         let stage_started = Instant::now();
         let estimator = ExplainEstimator::new(&snap.engine);
         let constraints = self.config.use_constraints.then(|| snap.constraints());
-        let chosen = choose_reformulation_constrained(
+        let chosen = choose_reformulation_in(
             cq,
-            &snap.tbox,
-            &snap.deps,
+            &snap.context,
             &estimator,
             &self.config.reform_strategy,
             constraints.as_deref(),
         );
+        self.observe.record_reform_memo(&chosen.memo);
         if let Some(stats) = &chosen.pruned {
             self.observe
                 .record_pruned_arms(stats.empty_pruned, stats.subsumed_pruned);
@@ -1099,8 +1119,7 @@ impl Server {
         };
         let next = Arc::new(EngineSnapshot {
             engine,
-            tbox: cur.tbox.clone(),
-            deps: cur.deps.clone(),
+            context: cur.context.clone(),
             voc,
             generation,
             // Fresh cell: constraints mined from the pre-delta data are
@@ -1207,13 +1226,13 @@ impl Server {
         let ckpt_started = Instant::now();
         // Phase 1: pin. The TBox is read *inside* the writer lock so a
         // concurrent reload cannot slip a new KB between the reads.
-        let (voc, abox, tbox, generation) = {
+        let (voc, abox, context, generation) = {
             let writer = self.lock_writer()?;
-            let tbox = self.read_snapshot().tbox.clone();
+            let context = self.read_snapshot().context.clone();
             (
                 writer.voc.clone(),
                 writer.abox.clone(),
-                tbox,
+                context,
                 writer.applied_generation,
             )
         };
@@ -1224,7 +1243,7 @@ impl Server {
             None => return Ok(()),
         };
         // Phase 2: write, unlocked.
-        write_snapshot_to(&ckpt_path, &voc, &tbox, &abox, generation)
+        write_snapshot_to(&ckpt_path, &voc, context.tbox(), &abox, generation)
             .map_err(ServerError::Store)?;
         // Phase 3: install.
         if let Some(store) = self.lock_store().as_mut() {
@@ -1343,43 +1362,36 @@ impl Server {
         let _leader = self.lock_leader();
         self.run_leader()?; // staged commits land first, in commit order
         let mut writer = self.lock_writer()?;
-        let (tbox, deps) = {
-            let cur = self.read_snapshot();
-            (cur.tbox.clone(), cur.deps.clone())
-        };
-        Ok(self.publish(&mut writer, tbox, deps, abox))
+        let context = self.read_snapshot().context.clone();
+        Ok(self.publish(&mut writer, context, abox))
     }
 
     /// Publish a new TBox *and* ABox (ontology evolution): recomputes the
     /// predicate dependencies, then swaps like [`Server::reload_abox`]
     /// (see there for the generation semantics, which are identical).
+    /// The new TBox gets a fresh [`TBoxContext`], so no reformulation
+    /// computed against the old TBox is reused.
     pub fn reload_kb(&self, tbox: TBox, abox: &ABox) -> Result<u64, ServerError> {
         let _leader = self.lock_leader();
         self.run_leader()?; // staged commits land first, in commit order
         let mut writer = self.lock_writer()?;
         let deps = Dependencies::compute(&writer.voc, &tbox);
-        Ok(self.publish(&mut writer, tbox, deps, abox))
+        let context = Arc::new(TBoxContext::new(tbox, deps));
+        Ok(self.publish(&mut writer, context, abox))
     }
 
     /// Build and swap in the next generation (bulk path). The writer
     /// guard proves the caller holds the writer mutex: the current
-    /// TBox/deps were read under it, so no concurrent write can
+    /// TBox context was read under it, so no concurrent write can
     /// interleave (lost update), and the expensive snapshot build
     /// happens *before* the snapshot write lock is taken — queries keep
     /// serving the old generation until the O(1) `Arc` swap.
-    fn publish(
-        &self,
-        writer: &mut WriterState,
-        tbox: TBox,
-        deps: Dependencies,
-        abox: &ABox,
-    ) -> u64 {
+    fn publish(&self, writer: &mut WriterState, context: Arc<TBoxContext>, abox: &ABox) -> u64 {
         let generation = self.read_snapshot().generation + 1;
         let next = Arc::new(Self::build_snapshot(
             &writer.voc,
             &self.config,
-            tbox.clone(),
-            deps,
+            context.clone(),
             abox,
             generation,
         ));
@@ -1402,7 +1414,7 @@ impl Server {
             // intact, which recovers to the *previous* generation —
             // stale but consistent — and poisons the store so the next
             // append reports it.
-            let _ = store.compact(&writer.voc, &tbox, abox, generation);
+            let _ = store.compact(&writer.voc, context.tbox(), abox, generation);
         }
         generation
     }

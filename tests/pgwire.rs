@@ -687,6 +687,21 @@ fn show_metrics_reports_served_counters() {
     // Cost-model accuracy counters moved on the native path.
     assert!(m["cost_predicted_units"].parse::<f64>().unwrap() > 0.0);
     assert!(m["cost_measured_units"].parse::<f64>().unwrap() > 0.0);
+    // The SQL-backend compile of Q1 reused the reformulations the native
+    // compile put in the TBox-lifetime memo; both surfaces report it.
+    assert!(m["reform_memo_misses"].parse::<u64>().unwrap() >= 1);
+    assert!(m["reform_memo_hits"].parse::<u64>().unwrap() >= 1);
+    assert!(m["reform_memo_entries"].parse::<u64>().unwrap() >= 1);
+    assert_eq!(m["reform_memo_evictions"], "0");
+    let exposition = obda::rdbms::observe::render_prometheus(&fx.server);
+    for family in [
+        "obda_reform_memo_lookups_total{result=\"hit\"}",
+        "obda_reform_memo_lookups_total{result=\"miss\"}",
+        "obda_reform_memo_evictions_total 0",
+        "obda_reform_memo_entries ",
+    ] {
+        assert!(exposition.contains(family), "{family} missing");
+    }
 
     // SHOW statements themselves are not queries: a second SHOW must
     // not move the query counters.

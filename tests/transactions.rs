@@ -602,3 +602,185 @@ mod stale_constraints {
         );
     }
 }
+
+/// Reformulations outlive commits: the TBox context's memo keeps every
+/// fragment reformulation for as long as the TBox stays the same, while
+/// cover choice, pruning and plans are redone per generation. These
+/// tests hold the reuse to its contract — a carried compilation equals a
+/// cold one at every generation — and check that a new TBox starts from
+/// an empty memo.
+mod carried_reformulations {
+    use super::*;
+    use obda::core::Strategy as Reform;
+    use obda::dllite::Dependencies;
+    use obda::query::testkit::random_delta;
+
+    /// LUBM shapes cheap enough to compile cold in an unoptimized build.
+    const LUBM_SAMPLE: [&str; 6] = ["Q2", "Q3", "Q5", "Q8", "Q11", "Q12"];
+
+    /// A KB and the queries to check on it: a small LUBM instance with
+    /// two sampled workload shapes, or a random KB; random CQs either way.
+    fn kb(rng: &mut Rng, lubm: bool) -> (Vocabulary, TBox, ABox, Vec<CQ>) {
+        let (voc, tbox, abox, mut queries) = if lubm {
+            let mut onto = UnivOntology::build();
+            let config = GenConfig {
+                seed: rng.next_u64(),
+                target_facts: 300,
+                ..Default::default()
+            };
+            let (abox, _) = generate(&mut onto, &config);
+            let sample: Vec<CQ> = workload(&onto)
+                .into_iter()
+                .filter(|w| LUBM_SAMPLE.contains(&w.name.as_str()))
+                .map(|w| w.cq)
+                .collect();
+            let picked = (0..2).map(|_| sample[rng.below(sample.len())].clone());
+            let picked = picked.collect();
+            (onto.voc, onto.tbox, abox, picked)
+        } else {
+            let shape = KbShape::default();
+            let (mut voc, tbox) = random_tbox(rng, &shape);
+            let abox = random_abox(rng, &mut voc, &shape);
+            (voc, tbox, abox, Vec::new())
+        };
+        for _ in 0..3 {
+            let atoms = 1 + rng.below(3);
+            let cq = random_connected_cq(rng, &voc, atoms, 2);
+            // The same body under another projection: its fragments share
+            // atoms with the first query's and differ only in their heads.
+            let all_vars: Vec<VarId> = cq.all_vars().into_iter().collect();
+            queries.push(CQ::with_var_head(all_vars, cq.atoms().to_vec()));
+            queries.push(cq);
+        }
+        (voc, tbox, abox, queries)
+    }
+
+    /// At `live`'s current generation, every query compiles exactly as a
+    /// cold compile does — the memo-free pipeline run against a fresh
+    /// server loaded with the same KB: same chosen reformulation, same
+    /// SQL size, same rows.
+    fn check_against_cold(
+        live: &Server,
+        voc: &Vocabulary,
+        tbox: &TBox,
+        abox: &ABox,
+        config: &ServerConfig,
+        queries: &[CQ],
+    ) {
+        let snap = live.snapshot();
+        let fresh_snap = Server::new(voc.clone(), tbox.clone(), abox, config.clone()).snapshot();
+        let deps = Dependencies::compute(voc, tbox);
+        let estimator = ExplainEstimator::new(fresh_snap.engine());
+        for cq in queries {
+            let cold = choose_reformulation_constrained(
+                cq,
+                tbox,
+                &deps,
+                &estimator,
+                &config.reform_strategy,
+                Some(&fresh_snap.constraints()),
+            );
+            let carried = live.compiled(&snap, cq, Backend::Native);
+            assert_eq!(carried.fol, cold.fol, "chosen reformulation");
+            assert_eq!(
+                carried.sql_bytes,
+                fresh_snap.engine().sql_for(&cold.fol).len()
+            );
+            let mut cold_rows = fresh_snap.engine().evaluate(&cold.fol).unwrap().rows;
+            cold_rows.sort();
+            assert_eq!(sorted_rows(live.query_on(&snap, cq).unwrap()), cold_rows);
+        }
+    }
+
+    proptest! {
+        // Cold LUBM compiles are slow unoptimized; CI's differential job
+        // runs the release case count.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 4 } else { 16 }))]
+
+        /// Random committed deltas over every layout and reformulation
+        /// strategy: at each generation the server that carries its
+        /// reformulations across commits compiles and answers exactly
+        /// like a cold one, and it really did reuse reformulations.
+        #[test]
+        fn carried_compilations_equal_cold_ones(seed in 0u64..1_000_000) {
+            let layouts = [LayoutKind::Simple, LayoutKind::Triple, LayoutKind::Dph];
+            for (i, layout) in layouts.into_iter().enumerate() {
+                let mut rng = Rng::new(seed ^ (layout as u64).wrapping_mul(0x9e37_79b9));
+                let lubm = (seed as usize + i) % 2 == 0;
+                let (mut voc, tbox, mut abox, queries) = kb(&mut rng, lubm);
+                let strategies = [
+                    Reform::Gdl { time_budget: None },
+                    Reform::Ucq,
+                    Reform::Uscq,
+                    Reform::CrootJucq,
+                ];
+                let config = ServerConfig {
+                    layout,
+                    reform_strategy: strategies[rng.below(strategies.len())].clone(),
+                    ..ServerConfig::default()
+                };
+                let live = Server::new(voc.clone(), tbox.clone(), &abox, config.clone());
+                check_against_cold(&live, &voc, &tbox, &abox, &config, &queries);
+                for tag in 0..3 {
+                    let delta = random_delta(&mut rng, &voc, &abox, 6, tag);
+                    live.apply_batch(&delta).unwrap();
+                    for name in &delta.new_individuals {
+                        voc.individual(name);
+                    }
+                    abox.apply(&delta);
+                    check_against_cold(&live, &voc, &tbox, &abox, &config, &queries);
+                }
+                let memo = live.observe().reform_memo_total();
+                prop_assert!(memo.hits > 0, "commits must reuse reformulations ({memo:?})");
+            }
+        }
+    }
+
+    /// `reload_kb` with one more axiom: a shape compiled under the old
+    /// TBox gains answers under the new one. Reusing the old memo would
+    /// replay the old reformulation and miss them; the new TBox's memo
+    /// starts empty, so the compile after the reload only misses.
+    #[test]
+    fn reload_kb_with_a_new_axiom_drops_the_memo() {
+        let mut b = TBoxBuilder::new();
+        b.sub("Apprentice", "Builder");
+        b.voc.concept("Mason");
+        let old_tbox = b.tbox.clone();
+        b.sub("Mason", "Builder");
+        let (mut voc, new_tbox) = b.finish();
+        let builder = voc.find_concept("Builder").unwrap();
+        let mason = voc.find_concept("Mason").unwrap();
+        let b0 = voc.individual("b0");
+        let m0 = voc.individual("m0");
+        let mut abox = ABox::new();
+        abox.assert_concept(builder, b0);
+        abox.assert_concept(mason, m0);
+        let q = CQ::with_var_head(
+            vec![VarId(0)],
+            vec![Atom::Concept(builder, Term::Var(VarId(0)))],
+        );
+        let server = Server::new(voc, old_tbox, &abox, ServerConfig::default());
+        assert_eq!(sorted_rows(server.query(&q).unwrap()), vec![vec![b0.0]]);
+        // A commit keeps the TBox, so the recompile is all memo hits.
+        server.apply_batch(&AboxDelta::new()).unwrap();
+        let before = server.observe().reform_memo_total();
+        assert_eq!(sorted_rows(server.query(&q).unwrap()), vec![vec![b0.0]]);
+        let after_commit = server.observe().reform_memo_total();
+        assert!(after_commit.hits > before.hits);
+        assert_eq!(after_commit.misses, before.misses);
+
+        server.reload_kb(new_tbox, &abox).unwrap();
+        assert_eq!(server.snapshot().reform_memo_entries(), 0);
+        assert_eq!(
+            sorted_rows(server.query(&q).unwrap()),
+            vec![vec![b0.0], vec![m0.0]],
+            "Mason ⊑ Builder must add m0"
+        );
+        let after_reload = server.observe().reform_memo_total();
+        assert_eq!(
+            after_reload.hits, after_commit.hits,
+            "no hits after a TBox change"
+        );
+        assert!(after_reload.misses > after_commit.misses);
+    }
+}
